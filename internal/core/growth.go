@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/rng"
@@ -62,19 +61,25 @@ func ExactExpectedGrowth(g *graph.Graph, source int32, a []int32, branch Branchi
 	if !srcOK {
 		return 0, fmt.Errorf("core: source %d not in A", source)
 	}
-	// d_A(u) for u ∈ Γ(A) via one pass over the edges leaving A.
-	dA := make(map[int32]int, len(a)*4)
+	// d_A(u) for u ∈ Γ(A) via one pass over the edges leaving A. The sum
+	// runs over Γ(A) in first-seen order, so repeated calls on one set
+	// are bit-identical.
+	dA := make([]int, n)
+	var seen []int32
 	for _, v := range a {
 		for _, u := range g.Neighbors(v) {
+			if dA[u] == 0 {
+				seen = append(seen, u)
+			}
 			dA[u]++
 		}
 	}
 	expected := 1.0 // the persistent source
-	for u, d := range dA {
+	for _, u := range seen {
 		if u == source {
 			continue
 		}
-		expected += infectProb(d, g.Degree(u), branch)
+		expected += infectProb(dA[u], g.Degree(u), branch)
 	}
 	return expected, nil
 }
@@ -108,94 +113,6 @@ func SampleGrowth(g *graph.Graph, source int32, a []int32, branch Branching, tri
 		}
 		b.Step(r)
 		out[i] = float64(b.InfectedCount())
-	}
-	return out, nil
-}
-
-// Lemma2MGF holds a Monte-Carlo estimate of the exponential-moment
-// sequence at the heart of the paper's Lemma 2:
-//
-//	G_t(φ) = E[ e^{-φ(|A_t|-|A_0|)} · 1{|A_s| < m+1 for all s ≤ t-1} ],
-//
-// which the paper proves satisfies G_t(φ) ≤ exp(t·(log(1+x) - x)) for
-// φ = log(1+x), x = (1-λ)/2, and m ≤ n/2. The estimate lets the proof's
-// engine be checked empirically, not just its conclusion.
-type Lemma2MGF struct {
-	Phi float64
-	X   float64
-	M   int
-	// G[t] is the Monte-Carlo estimate of G_t(φ); SE[t] its standard error.
-	G  []float64
-	SE []float64
-}
-
-// Bound returns the paper's upper bound exp(t·(log(1+x)-x)) on G_t(φ).
-func (l Lemma2MGF) Bound(t int) float64 {
-	return math.Exp(float64(t) * (math.Log(1+l.X) - l.X))
-}
-
-// EstimateLemma2MGF runs `trials` independent BIPS processes from source
-// and estimates G_t(φ) for t = 0..tMax with φ = log(1+x), x = (1-λ)/2,
-// small-set threshold m. Used by experiment E15 to validate the Lemma 2
-// supermartingale argument directly.
-func EstimateLemma2MGF(g *graph.Graph, source int32, branch Branching, lambda float64, m, tMax, trials int, seed uint64) (Lemma2MGF, error) {
-	if trials < 1 {
-		return Lemma2MGF{}, fmt.Errorf("core: trials = %d, need >= 1", trials)
-	}
-	if tMax < 0 {
-		return Lemma2MGF{}, fmt.Errorf("core: negative horizon %d", tMax)
-	}
-	if lambda < 0 || lambda >= 1 {
-		return Lemma2MGF{}, fmt.Errorf("core: lambda = %v outside [0,1)", lambda)
-	}
-	if m < 1 || m > g.N()/2 {
-		return Lemma2MGF{}, fmt.Errorf("core: small-set threshold m = %d outside [1, n/2]", m)
-	}
-	x := (1 - lambda) / 2
-	out := Lemma2MGF{
-		Phi: math.Log(1 + x),
-		X:   x,
-		M:   m,
-		G:   make([]float64, tMax+1),
-		SE:  make([]float64, tMax+1),
-	}
-	b, err := NewBIPS(g, WithBranching(branch), WithMaxRounds(tMax+1))
-	if err != nil {
-		return Lemma2MGF{}, err
-	}
-	sums := make([]float64, tMax+1)
-	sumSqs := make([]float64, tMax+1)
-	r := rng.NewStream(seed, 0x1e2)
-	for i := 0; i < trials; i++ {
-		if err := b.Reset(source); err != nil {
-			return Lemma2MGF{}, err
-		}
-		a0 := float64(b.InfectedCount())
-		alive := true // 1{E_{t-1}}: all sizes so far < m+1
-		for t := 0; t <= tMax; t++ {
-			if t > 0 {
-				// The indicator freezes once any prior size exceeds m.
-				if b.InfectedCount() >= m+1 {
-					alive = false
-				}
-				b.Step(r)
-			}
-			if alive {
-				v := math.Exp(-out.Phi * (float64(b.InfectedCount()) - a0))
-				sums[t] += v
-				sumSqs[t] += v * v
-			}
-		}
-	}
-	n := float64(trials)
-	for t := 0; t <= tMax; t++ {
-		mean := sums[t] / n
-		out.G[t] = mean
-		variance := sumSqs[t]/n - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		out.SE[t] = math.Sqrt(variance / n)
 	}
 	return out, nil
 }

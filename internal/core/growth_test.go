@@ -47,6 +47,36 @@ func TestExactExpectedGrowthK2Formula(t *testing.T) {
 	}
 }
 
+// TestExactExpectedGrowthDeterministic: repeated calls on one set must be
+// bit-identical, not merely equal up to float noise — experiment E5
+// picks the worst of several sets by comparing these values, so any
+// summation-order noise would leak into its table.
+func TestExactExpectedGrowthDeterministic(t *testing.T) {
+	g := mustGraph(t)(graph.Complete(64))
+	r := rng.New(1)
+	for _, size := range []int{2, 6, 16, 32, 48, 60} {
+		set, err := RandomInfectedSet(g, 0, size, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, br := range []Branching{{K: 2}, {K: 1, Rho: 0.5}} {
+			first, err := ExactExpectedGrowth(g, 0, set, br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				got, err := ExactExpectedGrowth(g, 0, set, br)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(first) {
+					t.Fatalf("|A|=%d %v: call %d gave %v, first call %v", size, br, i, got, first)
+				}
+			}
+		}
+	}
+}
+
 func TestExactExpectedGrowthValidation(t *testing.T) {
 	g := mustGraph(t)(graph.Complete(4))
 	if _, err := ExactExpectedGrowth(g, 0, []int32{1}, DefaultBranching); err == nil {

@@ -5,8 +5,8 @@ import (
 	"io"
 	"math"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/stats"
 )
 
@@ -59,7 +59,7 @@ func runE10(ctx context.Context, w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		dg, err := coverDigest(ctx, g, core.DefaultBranching, trials, p, 1<<18)
+		dg, err := coverDigest(ctx, g, process.DefaultBranching, trials, p, 1<<18)
 		if err != nil {
 			return err
 		}

@@ -6,8 +6,8 @@ import (
 	"math"
 	"sort"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/stats"
 )
@@ -36,7 +36,7 @@ func runE11(ctx context.Context, w io.Writer, p Params) error {
 	if err != nil {
 		return err
 	}
-	covs, err := coverTimes(ctx, g, core.DefaultBranching, trials, p, 1<<18)
+	covs, err := coverTimes(ctx, g, process.DefaultBranching, trials, p, 1<<18)
 	if err != nil {
 		return err
 	}

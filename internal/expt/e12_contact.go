@@ -6,8 +6,8 @@ import (
 	"io"
 
 	"cobrawalk/internal/contact"
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/sim"
 	"cobrawalk/internal/stats"
@@ -99,7 +99,7 @@ func runE12(ctx context.Context, w io.Writer, p Params) error {
 	// COBRA.
 	tbl2 := NewTable("E12b: persistent-source contact process vs BIPS k=2 (the paper's duality-side process)",
 		"model", "parameter", "mean time (coverage / full infection)", "p95")
-	bipsTimes, err := infectionTimes(ctx, g, core.DefaultBranching, trials, p, 1<<16)
+	bipsTimes, err := infectionTimes(ctx, g, process.DefaultBranching, trials, p, 1<<16)
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,8 @@ import (
 	"context"
 	"io"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 )
 
@@ -49,7 +49,11 @@ func runE15(ctx context.Context, w io.Writer, p Params) error {
 			return err
 		}
 		m := g.N() / 2
-		mgf, err := core.EstimateLemma2MGF(g, 0, core.DefaultBranching, lambda, m, tMax, trials, p.Seed)
+		proc, err := process.New(process.BIPS, g, process.Config{})
+		if err != nil {
+			return err
+		}
+		mgf, err := estimateLemma2MGF(proc, g.N(), 0, lambda, m, tMax, trials, p.Seed)
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,7 @@ import (
 	"io"
 	"math"
 
-	"cobrawalk/internal/core"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/stats"
 )
@@ -51,7 +51,7 @@ func runE2(ctx context.Context, w io.Writer, p Params) error {
 			if err != nil {
 				return err
 			}
-			dg, err := infectionDigest(ctx, g, core.DefaultBranching, trials, p, 1<<16)
+			dg, err := infectionDigest(ctx, g, process.DefaultBranching, trials, p, 1<<16)
 			if err != nil {
 				return err
 			}

@@ -5,7 +5,7 @@ import (
 	"io"
 	"math"
 
-	"cobrawalk/internal/core"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/stats"
 )
@@ -43,7 +43,7 @@ func runE3(ctx context.Context, w io.Writer, p Params) error {
 	}
 	var fits []fitRow
 	for _, rho := range rhos {
-		branch := core.Branching{K: 1, Rho: rho}
+		branch := process.Branching{K: 1, Rho: rho}
 		var ns, means []float64
 		gr := rng.NewStream(p.Seed, 0xe3)
 		for _, n := range sizes {

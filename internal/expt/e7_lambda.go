@@ -4,8 +4,8 @@ import (
 	"context"
 	"io"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/stats"
 )
 
@@ -90,7 +90,7 @@ func runE7(ctx context.Context, w io.Writer, p Params) error {
 		if gap <= 1e-9 {
 			continue // bipartite/disconnected instances are out of scope here
 		}
-		dg, err := coverDigest(ctx, g, core.DefaultBranching, trials, p, 1<<20)
+		dg, err := coverDigest(ctx, g, process.DefaultBranching, trials, p, 1<<20)
 		if err != nil {
 			return err
 		}

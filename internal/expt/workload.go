@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/sim"
 	"cobrawalk/internal/spectral"
@@ -62,66 +62,43 @@ func familyLabel(pt sweep.Point) string {
 	return pt.Family
 }
 
-// cobraWorkload packages the per-worker factory and per-trial function
-// for COBRA cover runs from vertex 0 (regular families are
-// vertex-transitive or statistically symmetric, so vertex 0 is
-// representative of the worst-case start). Construction is validated once
+// workload packages the per-worker factory and per-trial function for
+// runs of a native process (cobra cover runs, bips infection runs) from
+// vertex 0 (regular families are vertex-transitive or statistically
+// symmetric, so vertex 0 is representative of the worst-case start); the
+// trial's value is the completion round. Construction is validated once
 // up front so the factory cannot fail; the same pair feeds both the
 // materialising (sim.RunWithState) and streaming (sim.ReduceWithState)
 // harnesses, guaranteeing the two paths see identical trials.
-func cobraWorkload(g *graph.Graph, branch core.Branching, maxRounds int) (func() *core.Cobra, func(*core.Cobra, int, *rng.Rand) (float64, error), error) {
-	if _, err := core.NewCobra(g, core.WithBranching(branch), core.WithMaxRounds(maxRounds)); err != nil {
+func workload(name string, g *graph.Graph, branch process.Branching, maxRounds int) (func() process.Process, func(process.Process, int, *rng.Rand) (float64, error), error) {
+	cfg := process.Config{Branching: branch}
+	if _, err := process.New(name, g, cfg); err != nil {
 		return nil, nil, err
 	}
-	newState := func() *core.Cobra {
-		c, err := core.NewCobra(g, core.WithBranching(branch), core.WithMaxRounds(maxRounds))
+	newState := func() process.Process {
+		proc, err := process.New(name, g, cfg)
 		if err != nil {
 			panic(err) // unreachable: validated above
 		}
-		return c
+		return proc
 	}
-	trial := func(c *core.Cobra, _ int, r *rng.Rand) (float64, error) {
-		out, err := c.Run(0, r)
+	trial := func(proc process.Process, _ int, r *rng.Rand) (float64, error) {
+		out, err := process.Run(proc, r, maxRounds, 0)
 		if err != nil {
 			return 0, err
 		}
-		if !out.Covered {
-			return 0, fmt.Errorf("cover run hit round cap %d on %s", maxRounds, g.Name())
+		if !out.Done {
+			return 0, fmt.Errorf("%s run hit round cap %d on %s", name, maxRounds, g.Name())
 		}
-		return float64(out.CoverTime), nil
-	}
-	return newState, trial, nil
-}
-
-// bipsWorkload is cobraWorkload for BIPS infection runs with source 0.
-func bipsWorkload(g *graph.Graph, branch core.Branching, maxRounds int) (func() *core.BIPS, func(*core.BIPS, int, *rng.Rand) (float64, error), error) {
-	if _, err := core.NewBIPS(g, core.WithBranching(branch), core.WithMaxRounds(maxRounds)); err != nil {
-		return nil, nil, err
-	}
-	newState := func() *core.BIPS {
-		b, err := core.NewBIPS(g, core.WithBranching(branch), core.WithMaxRounds(maxRounds))
-		if err != nil {
-			panic(err) // unreachable: validated above
-		}
-		return b
-	}
-	trial := func(b *core.BIPS, _ int, r *rng.Rand) (float64, error) {
-		out, err := b.Run(0, r)
-		if err != nil {
-			return 0, err
-		}
-		if !out.Infected {
-			return 0, fmt.Errorf("infection run hit round cap %d on %s", maxRounds, g.Name())
-		}
-		return float64(out.InfectionTime), nil
+		return float64(out.Rounds), nil
 	}
 	return newState, trial, nil
 }
 
 // coverTimes runs `trials` COBRA cover runs on g and returns the raw
 // cover times, for experiments that need the materialised sample.
-func coverTimes(ctx context.Context, g *graph.Graph, branch core.Branching, trials int, p Params, maxRounds int) ([]float64, error) {
-	newState, trial, err := cobraWorkload(g, branch, maxRounds)
+func coverTimes(ctx context.Context, g *graph.Graph, branch process.Branching, trials int, p Params, maxRounds int) ([]float64, error) {
+	newState, trial, err := workload(process.Cobra, g, branch, maxRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -130,8 +107,8 @@ func coverTimes(ctx context.Context, g *graph.Graph, branch core.Branching, tria
 }
 
 // infectionTimes runs `trials` BIPS infection runs on g with source 0.
-func infectionTimes(ctx context.Context, g *graph.Graph, branch core.Branching, trials int, p Params, maxRounds int) ([]float64, error) {
-	newState, trial, err := bipsWorkload(g, branch, maxRounds)
+func infectionTimes(ctx context.Context, g *graph.Graph, branch process.Branching, trials int, p Params, maxRounds int) ([]float64, error) {
+	newState, trial, err := workload(process.BIPS, g, branch, maxRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -144,8 +121,8 @@ func infectionTimes(ctx context.Context, g *graph.Graph, branch core.Branching, 
 // stats.Digest instead of materialising a []float64, so trial counts are
 // bounded by time, not RAM. The digest is bit-identical for every Workers
 // setting.
-func coverDigest(ctx context.Context, g *graph.Graph, branch core.Branching, trials int, p Params, maxRounds int) (*stats.Digest, error) {
-	newState, trial, err := cobraWorkload(g, branch, maxRounds)
+func coverDigest(ctx context.Context, g *graph.Graph, branch process.Branching, trials int, p Params, maxRounds int) (*stats.Digest, error) {
+	newState, trial, err := workload(process.Cobra, g, branch, maxRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -156,8 +133,8 @@ func coverDigest(ctx context.Context, g *graph.Graph, branch core.Branching, tri
 }
 
 // infectionDigest is the streaming counterpart of infectionTimes.
-func infectionDigest(ctx context.Context, g *graph.Graph, branch core.Branching, trials int, p Params, maxRounds int) (*stats.Digest, error) {
-	newState, trial, err := bipsWorkload(g, branch, maxRounds)
+func infectionDigest(ctx context.Context, g *graph.Graph, branch process.Branching, trials int, p Params, maxRounds int) (*stats.Digest, error) {
+	newState, trial, err := workload(process.BIPS, g, branch, maxRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +153,9 @@ func digestOrErr(dg *stats.Digest, what string) (stats.DigestSummary, error) {
 	return s, nil
 }
 
-// measureLambda returns λ_max for g, using a reduced-accuracy power
-// iteration (the experiments only report λ to four digits).
+// measureLambda returns λ_max for g, with the Lanczos residual tolerance
+// relaxed to 1e-9 (the eigenvalue error is of order its square over the
+// gap, far below the four digits the experiments report).
 func measureLambda(g *graph.Graph) (float64, error) {
 	return spectral.LambdaMax(g, spectral.Options{Tol: 1e-9, MaxIter: 20000})
 }

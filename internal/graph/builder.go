@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -20,15 +21,26 @@ type Builder struct {
 
 type edge struct{ u, v int32 }
 
+// maxEdges bounds the edges one Builder can hold: its edge list, at 8
+// bytes per edge, must fit in the 2^48 bytes the Go runtime can allocate
+// on 64-bit platforms.
+const maxEdges = 1 << 45
+
 // NewBuilder returns a Builder for a graph on n vertices, with capacity for
-// edgeHint undirected edges.
+// edgeHint undirected edges. A vertex count beyond the int32 vertex ids or
+// an edge hint beyond maxEdges latches an error instead of allocating, so
+// generators can check b.err before looping over the edges.
 func NewBuilder(n, edgeHint int) *Builder {
 	b := &Builder{n: n}
-	if edgeHint > 0 {
-		b.edges = make([]edge, 0, edgeHint)
-	}
-	if n < 0 {
+	switch {
+	case n < 0:
 		b.err = fmt.Errorf("graph: negative vertex count %d", n)
+	case n > math.MaxInt32:
+		b.err = fmt.Errorf("graph: %d vertices exceed int32 vertex ids", n)
+	case int64(edgeHint) > maxEdges:
+		b.err = fmt.Errorf("graph: %d edges exceed the %d one graph can hold", edgeHint, int64(maxEdges))
+	case edgeHint > 0:
+		b.edges = make([]edge, 0, edgeHint)
 	}
 	return b
 }

@@ -11,6 +11,9 @@ func Complete(n int) (*Graph, error) {
 		return nil, errEmptyGraph
 	}
 	b := NewBuilder(n, n*(n-1)/2)
+	if b.err != nil {
+		return nil, b.err // before the Θ(n²) edge loop
+	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			b.AddEdge(int32(u), int32(v))

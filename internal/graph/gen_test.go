@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +98,16 @@ func TestCirculant(t *testing.T) {
 	}
 	if _, err := Circulant(10, []int{2, 2}); err == nil {
 		t.Fatal("duplicate offset should fail")
+	}
+}
+
+// TestCompleteTooLarge: an unbuildable size is an error returned before
+// the quadratic edge loop, not a makeslice panic.
+func TestCompleteTooLarge(t *testing.T) {
+	for _, n := range []int{2_000_000_000, math.MaxInt32 + 1} {
+		if _, err := Complete(n); err == nil {
+			t.Fatalf("Complete(%d) succeeded, want an error", n)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,18 @@ func TestBuilderErrors(t *testing.T) {
 		b.AddEdge(-1, 0)
 		if _, err := b.Build("x"); err == nil {
 			t.Fatal("want error for negative vertex")
+		}
+	})
+	t.Run("unholdable-edge-hint", func(t *testing.T) {
+		// n = 2e9 complete: an n(n-1)/2 hint the runtime cannot allocate.
+		b := NewBuilder(2_000_000_000, 1_999_999_999_000_000_000)
+		if _, err := b.Build("x"); err == nil {
+			t.Fatal("want error for an edge hint beyond maxEdges")
+		}
+	})
+	t.Run("too-many-vertices", func(t *testing.T) {
+		if _, err := NewBuilder(math.MaxInt32+1, 0).Build("x"); err == nil {
+			t.Fatal("want error for n beyond int32 vertex ids")
 		}
 	})
 	t.Run("negative-n", func(t *testing.T) {

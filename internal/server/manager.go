@@ -547,9 +547,12 @@ func (m *Manager) settle(j *job, err error) {
 	if j.rec.Started != nil {
 		ran = now.Sub(*j.rec.Started)
 	}
+	// Publish the terminal event before releasing the lock that makes
+	// the terminal state visible: Subscribe reads the state under m.mu
+	// and seals the topic when it is terminal, so it must find the
+	// terminal event already in the topic's history.
+	m.event(j, string(state), msg, m.snapshotLocked(j))
 	m.mu.Unlock()
-
-	m.event(j, string(state), msg, m.snapshot(j))
 	m.hub.close(j.rec.ID)
 	m.met.jobsTotal.With(string(state)).Inc()
 	if ran > 0 {
@@ -576,9 +579,6 @@ func (m *Manager) persist(j *job) error {
 	return writeJSONFile(filepath.Join(j.dir, jobFileName), rec)
 }
 
-// snapshot assembles a Status under the lock. Events are stripped —
-// they have their own endpoint (and job.json) and would bloat every
-// list response otherwise.
 // jobMaxProcs is one job's share of the machine: GOMAXPROCS divided by
 // the concurrent job slots (at least 1). The sweep layer resolves its
 // trial- and kernel-worker defaults against this budget, so a daemon
@@ -592,9 +592,17 @@ func (m *Manager) jobMaxProcs() int {
 	return per
 }
 
+// snapshot assembles a Status under the lock. Events are stripped —
+// they have their own endpoint (and job.json) and would bloat every
+// list response otherwise.
 func (m *Manager) snapshot(j *job) Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.snapshotLocked(j)
+}
+
+// snapshotLocked is snapshot for callers already holding m.mu.
+func (m *Manager) snapshotLocked(j *job) Status {
 	st := Status{
 		Record:        j.rec,
 		PointsDone:    int(j.done.Load()),

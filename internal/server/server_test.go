@@ -440,6 +440,34 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestUnbuildableGraphFailsJob is the crash-loop regression: a complete
+// graph on 2e9 vertices used to panic in graph.NewBuilder (makeslice on
+// the n(n-1)/2 edge hint), taking the daemon down on every restart. The
+// spec must now be rejected with a 4xx or end as a failed job, and the
+// daemon must keep serving.
+func TestUnbuildableGraphFailsJob(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Config{})
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+
+	spec := []byte(`{"families":["complete"],"sizes":[2000000000],"trials":1,"seed":1}`)
+	var st Status
+	code := httpJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec, &st)
+	switch {
+	case code >= 400 && code < 500:
+	case code == http.StatusAccepted:
+		st = pollUntil(t, ts.URL, st.ID, terminal)
+		if st.State != StateFailed {
+			t.Fatalf("job settled %s, want %s", st.State, StateFailed)
+		}
+	default:
+		t.Fatalf("POST /v1/jobs: status %d", code)
+	}
+	if code := httpJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, nil); code != http.StatusOK {
+		t.Fatalf("/v1/healthz after the job: status %d", code)
+	}
+}
+
 // TestRestoredHistoryIsServable: terminal jobs survive a restart as
 // queryable history, including their results.
 func TestRestoredHistoryIsServable(t *testing.T) {

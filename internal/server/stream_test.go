@@ -533,3 +533,63 @@ func TestETagConditionalReads(t *testing.T) {
 		t.Fatalf("identical spec got etag %q, want shared %q", respSame.Header.Get("ETag"), etag)
 	}
 }
+
+// TestSubscribeDuringSettleEndsWithTerminal races subscribers against a
+// job settling: some attach before settle and wait on the live channel,
+// others spin until the terminal state is visible and attach at once.
+// Every stream must end with the terminal event — a subscriber that sees
+// the terminal state must never find a sealed topic without it.
+func TestSubscribeDuringSettleEndsWithTerminal(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Config{})
+	const rounds, waiters, spinners = 20, 4, 16
+	for round := 0; round < rounds; round++ {
+		id := fmt.Sprintf("j%04d", 9000+round)
+		now := time.Now().UTC()
+		j := m.newJob(Record{ID: id, State: StateRunning, Created: now, Started: &now}, t.TempDir())
+		m.mu.Lock()
+		m.jobs[id] = j
+		m.order = append(m.order, id)
+		m.mu.Unlock()
+		m.event(j, "running", "", m.snapshot(j))
+
+		lasts := make(chan string, waiters+spinners)
+		follow := func() {
+			replay, ch, cancel, err := m.Subscribe(id, 0)
+			if err != nil {
+				lasts <- "error: " + err.Error()
+				return
+			}
+			defer cancel()
+			last := ""
+			if len(replay) > 0 {
+				last = replay[len(replay)-1].Type
+			}
+			for ev := range ch {
+				last = ev.Type
+			}
+			lasts <- last
+		}
+		for i := 0; i < waiters; i++ {
+			go follow()
+		}
+		start := make(chan struct{})
+		for i := 0; i < spinners; i++ {
+			go func() {
+				<-start
+				for {
+					if st, _ := m.Get(id); st.State.Terminal() {
+						break
+					}
+				}
+				follow()
+			}()
+		}
+		close(start)
+		m.settle(j, nil)
+		for i := 0; i < waiters+spinners; i++ {
+			if last := <-lasts; last != string(StateDone) {
+				t.Fatalf("round %d: stream ended with %q, want %q", round, last, StateDone)
+			}
+		}
+	}
+}

@@ -2,39 +2,26 @@ package spectral
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/rng"
 )
 
-// Options configures the iterative eigensolvers. The zero value selects
+// Options configures the iterative eigensolver. The zero value selects
 // sensible defaults.
 type Options struct {
-	// Seed initialises the random starting vectors. The default 0 is a
+	// Seed initialises the random starting vector. The default 0 is a
 	// valid seed, so results are deterministic unless callers vary it.
 	Seed uint64
-	// Steps is the Lanczos iteration count (default min(n-1, 96)). Memory
-	// use is O(Steps·n) because the basis is stored for full
-	// reorthogonalization.
-	Steps int
-	// MaxIter bounds power-iteration steps (default 50000).
+	// MaxIter caps the Lanczos step count (default 50000). A run that
+	// reaches the cap reports its current extreme Ritz values, which lie
+	// inside the spectrum's extremes.
 	MaxIter int
-	// Tol is the convergence tolerance on eigenvalue estimates
-	// (default 1e-11).
+	// Tol is the stopping tolerance on the residual bound β_k·|s_k| of
+	// both extreme Ritz pairs (default 1e-11). The bound caps the
+	// eigenvalue error; the actual error is of order bound²/gap.
 	Tol float64
-}
-
-func (o Options) steps(n int) int {
-	s := o.Steps
-	if s <= 0 {
-		s = 96
-	}
-	if s > n-1 {
-		s = n - 1
-	}
-	return s
 }
 
 func (o Options) maxIter() int {
@@ -52,137 +39,95 @@ func (o Options) tol() float64 {
 }
 
 // Extremes returns λ_2 (largest eigenvalue of the transition matrix after
-// the trivial eigenvalue 1) and λ_n (the smallest), computed by Lanczos
-// iteration with full reorthogonalization against both the Krylov basis and
-// the deflated top eigenvector. For n == 1 both are 0 by convention.
+// the trivial eigenvalue 1) and λ_n (the smallest). Graphs of 2 to 64
+// vertices take the exact dense path; the rest run lanczos. For n == 1
+// both are 0 by convention.
 func Extremes(g *graph.Graph, opt Options) (lambda2, lambdaN float64, err error) {
-	n := g.N()
-	if n == 0 {
-		return 0, 0, errors.New("spectral: empty graph")
-	}
-	if n == 1 {
-		return 0, 0, nil
-	}
-	if n <= 64 {
-		// Dense path is exact and cheap at this size.
-		eig, derr := DenseSpectrum(g)
-		if derr != nil {
-			return 0, 0, derr
+	if n := g.N(); n > 1 && n <= 64 {
+		eig, err := DenseSpectrum(g)
+		if err != nil {
+			return 0, 0, err
 		}
 		return eig[1], eig[n-1], nil
+	}
+	return lanczosExtremes(g, opt)
+}
+
+// LambdaMax returns λ = max_{i>=2} |λ_i|, the quantity the paper's bounds
+// depend on. It always runs lanczos, with O(n) memory at any graph size:
+// at n = 64 the dense path's Jacobi sweeps cost milliseconds, the
+// recurrence microseconds, for the same accuracy.
+func LambdaMax(g *graph.Graph, opt Options) (float64, error) {
+	l2, ln, err := lanczosExtremes(g, opt)
+	if err != nil {
+		return 0, err
+	}
+	return math.Max(math.Abs(l2), math.Abs(ln)), nil
+}
+
+// lanczosExtremes validates g and returns lanczos's extreme Ritz values
+// as (λ_2, λ_n), clamped to [-1, 1] to absorb roundoff.
+func lanczosExtremes(g *graph.Graph, opt Options) (lambda2, lambdaN float64, err error) {
+	switch g.N() {
+	case 0:
+		return 0, 0, errors.New("spectral: empty graph")
+	case 1:
+		return 0, 0, nil
 	}
 	op, err := NewOperator(g)
 	if err != nil {
 		return 0, 0, err
 	}
-	steps := opt.steps(n)
-	r := rng.New(opt.Seed)
-
-	basis := make([][]float64, 0, steps)
-	v := randomUnitDeflated(op, r)
-	w := make([]float64, n)
-	alphas := make([]float64, 0, steps)
-	betas := make([]float64, 0, steps) // betas[j] couples v_j and v_{j+1}
-
-	for j := 0; j < steps; j++ {
-		basis = append(basis, v)
-		op.Apply(v, w)
-		alpha := dot(w, v)
-		alphas = append(alphas, alpha)
-		// w -= alpha*v_j + beta_{j-1}*v_{j-1}, then full reorthogonalization
-		// (two passes of classical Gram-Schmidt) against the whole basis and
-		// the deflated top vector, which keeps the Krylov space clean of the
-		// trivial eigenvalue.
-		axpy(-alpha, v, w)
-		if j > 0 {
-			axpy(-betas[j-1], basis[j-1], w)
-		}
-		for pass := 0; pass < 2; pass++ {
-			op.DeflateTop(w)
-			for _, b := range basis {
-				axpy(-dot(w, b), b, w)
-			}
-		}
-		beta := norm2(w)
-		if beta < 1e-14 {
-			// Invariant subspace exhausted: the Ritz values are exact.
-			break
-		}
-		betas = append(betas, beta)
-		next := make([]float64, n)
-		copy(next, w)
-		scale(next, 1/beta)
-		v = next
-	}
-
-	m := len(alphas)
-	d := make([]float64, m)
-	e := make([]float64, m)
-	copy(d, alphas)
-	copy(e, betas)
-	if err := tridiagEigenvalues(d, e); err != nil {
-		return 0, 0, fmt.Errorf("spectral: Lanczos Ritz solve: %w", err)
-	}
-	lambda2, lambdaN = d[0], d[0]
-	for _, x := range d[1:] {
-		if x > lambda2 {
-			lambda2 = x
-		}
-		if x < lambdaN {
-			lambdaN = x
-		}
-	}
-	// Clamp to the valid range [-1, 1] to absorb roundoff.
-	lambda2 = clamp(lambda2, -1, 1)
-	lambdaN = clamp(lambdaN, -1, 1)
-	return lambda2, lambdaN, nil
+	lambdaN, lambda2 = lanczos(op, opt)
+	return clamp(lambda2, -1, 1), clamp(lambdaN, -1, 1), nil
 }
 
-// LambdaMax returns λ = max_{i>=2} |λ_i|, the quantity the paper's bounds
-// depend on, via power iteration on N² restricted to the complement of the
-// top eigenvector. Squaring makes the dominant eigenvalue λ² non-negative,
-// which avoids sign oscillation when λ_n = -λ_2. Works at any graph size
-// with O(n) memory.
-func LambdaMax(g *graph.Graph, opt Options) (float64, error) {
-	n := g.N()
-	if n == 0 {
-		return 0, errors.New("spectral: empty graph")
-	}
-	if n == 1 {
-		return 0, nil
-	}
-	op, err := NewOperator(g)
-	if err != nil {
-		return 0, err
-	}
-	r := rng.New(opt.Seed)
-	v := randomUnitDeflated(op, r)
-	tmp := make([]float64, n)
+// lanczos runs the symmetric Lanczos recurrence on N restricted to the
+// complement of its top eigenvector and returns the smallest and largest
+// Ritz values. It keeps three n-vectors: each step reorthogonalises the
+// new vector locally against the current one and deflates the top
+// eigenvector again, since roundoff would otherwise let the trivial
+// eigenvalue 1 back in. The tridiagonal matrix T_k is kept as its α and β
+// coefficients only. Every few steps the extreme eigenvalues of T_k are
+// found by Sturm bisection, and the run stops once both residual bounds
+// β_k·|s_k| (s_k the last component of the Ritz vector in T_k's basis)
+// are below Tol, when β_k itself falls below Tol (an invariant subspace:
+// every Ritz value is exact), or after MaxIter steps.
+func lanczos(op *Operator, opt Options) (lo, hi float64) {
+	n := op.N()
+	tol, maxIter := opt.tol(), opt.maxIter()
+	v := randomUnitDeflated(op, rng.New(opt.Seed))
+	vPrev := make([]float64, n)
 	w := make([]float64, n)
-	tol := opt.tol()
-	maxIter := opt.maxIter()
-	prev := math.Inf(1)
-	for iter := 0; iter < maxIter; iter++ {
-		op.Apply(v, tmp)
-		op.Apply(tmp, w)
+	var t tridiag
+	next := 4 // step of the next convergence check
+	for k := 1; ; k++ {
+		op.Apply(v, w)
+		alpha := dot(w, v)
+		axpy(-alpha, v, w)
+		if k > 1 {
+			axpy(-t.beta[k-2], vPrev, w)
+		}
 		op.DeflateTop(w)
-		lambdaSq := dot(w, v) // Rayleigh quotient of N² at unit v
-		nw := norm2(w)
-		if nw < 1e-300 {
-			// v lies in the kernel of N²: all deflated eigenvalues are 0.
-			return 0, nil
+		c := dot(w, v)
+		axpy(-c, v, w)
+		t.alpha = append(t.alpha, alpha+c)
+		beta := norm2(w)
+		if beta < tol || k >= maxIter {
+			return t.eigenvalue(0), t.eigenvalue(k - 1)
 		}
-		scale(w, 1/nw)
-		v, w = w, v
-		if math.Abs(lambdaSq-prev) < tol {
-			return math.Sqrt(math.Max(lambdaSq, 0)), nil
+		if k >= next {
+			hi, sHi := t.top()
+			lo, sLo := t.bottom()
+			if beta*math.Abs(sHi) < tol && beta*math.Abs(sLo) < tol {
+				return lo, hi
+			}
+			next = k + max(4, k/8)
 		}
-		prev = lambdaSq
+		t.beta = append(t.beta, beta)
+		scale(w, 1/beta)
+		vPrev, v, w = v, w, vPrev
 	}
-	// Power iteration converged too slowly (tightly clustered spectrum);
-	// the last Rayleigh quotient still lower-bounds λ² and is accurate to
-	// O(residual²). Report it rather than failing.
-	return math.Sqrt(math.Max(prev, 0)), nil
 }
 
 func randomUnitDeflated(op *Operator, r *rng.Rand) []float64 {

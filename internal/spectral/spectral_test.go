@@ -445,49 +445,6 @@ func TestAnalyzeLargeUsesLanczos(t *testing.T) {
 	}
 }
 
-func TestTridiagEigenvaluesKnown(t *testing.T) {
-	// 2x2: [[2,1],[1,2]] has eigenvalues 1 and 3.
-	d := []float64{2, 2}
-	e := []float64{1, 0}
-	if err := tridiagEigenvalues(d, e); err != nil {
-		t.Fatal(err)
-	}
-	sortDesc(d)
-	if !approxEq(d[0], 3, eigTol) || !approxEq(d[1], 1, eigTol) {
-		t.Fatalf("2x2 eigenvalues = %v, want [3 1]", d)
-	}
-	// Free Laplacian-like chain: tridiag(diag=0, off=1) of size n has
-	// eigenvalues 2cos(kπ/(n+1)).
-	n := 7
-	d = make([]float64, n)
-	e = make([]float64, n)
-	for i := range e {
-		e[i] = 1
-	}
-	if err := tridiagEigenvalues(d, e); err != nil {
-		t.Fatal(err)
-	}
-	sortDesc(d)
-	for k := 1; k <= n; k++ {
-		want := 2 * math.Cos(float64(k)*math.Pi/float64(n+1))
-		if !approxEq(d[k-1], want, eigTol) {
-			t.Fatalf("chain eigenvalue %d = %.12f, want %.12f", k, d[k-1], want)
-		}
-	}
-	// Empty and singleton inputs are fine.
-	if err := tridiagEigenvalues(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	single := []float64{5}
-	if err := tridiagEigenvalues(single, []float64{0}); err != nil || single[0] != 5 {
-		t.Fatalf("singleton: %v %v", single, err)
-	}
-	// Workspace too short must error.
-	if err := tridiagEigenvalues([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("short workspace should fail")
-	}
-}
-
 func sortDesc(x []float64) {
 	for i := 1; i < len(x); i++ {
 		for j := i; j > 0 && x[j-1] < x[j]; j-- {

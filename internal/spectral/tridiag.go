@@ -1,75 +1,115 @@
 package spectral
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
-// tridiagEigenvalues computes, in place, the eigenvalues of the symmetric
-// tridiagonal matrix with diagonal d (length n) and subdiagonal e (length
-// n, with e[n-1] ignored and used as workspace). On return d holds the
-// eigenvalues in unspecified order. This is the classic implicit-shift QL
-// iteration (EISPACK tql1 / Numerical Recipes tqli, eigenvalues only).
-func tridiagEigenvalues(d, e []float64) error {
-	n := len(d)
-	if n == 0 {
-		return nil
-	}
-	if len(e) < n {
-		return errors.New("spectral: subdiagonal workspace too short")
-	}
-	// Shift the subdiagonal so e[i] couples d[i] and d[i+1]; e[n-1] = 0
-	// acts as a sentinel.
-	e[n-1] = 0
-	for l := 0; l < n; l++ {
-		iter := 0
-		for {
-			// Find the first small subdiagonal element at or after l.
-			m := l
-			for ; m < n-1; m++ {
-				dd := math.Abs(d[m]) + math.Abs(d[m+1])
-				if math.Abs(e[m]) <= math.SmallestNonzeroFloat64+2.3e-16*dd {
-					break
-				}
-			}
-			if m == l {
-				break // d[l] has converged
-			}
-			iter++
-			if iter > 50 {
-				return errors.New("spectral: tridiagonal QL failed to converge")
-			}
-			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Hypot(g, 1)
-			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
-			s, c := 1.0, 1.0
-			p := 0.0
-			for i := m - 1; i >= l; i-- {
-				f := s * e[i]
-				b := c * e[i]
-				r = math.Hypot(f, g)
-				e[i+1] = r
-				if r == 0 {
-					// Recover from underflow: annihilate the tiny element
-					// and restart this eigenvalue.
-					d[i+1] -= p
-					e[m] = 0
-					break
-				}
-				s = f / r
-				c = g / r
-				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
-				d[i+1] = g + p
-				g = c*r - b
-				if i == l {
-					d[l] -= p
-					e[l] = g
-					e[m] = 0
-				}
-			}
+// tridiag is a symmetric tridiagonal matrix — the Lanczos T_k — with
+// diagonal alpha and beta[i] coupling rows i and i+1. The Lanczos loop
+// appends to beta only after the convergence check of a step, so
+// len(beta) == len(alpha)-1 whenever the methods below run.
+type tridiag struct {
+	alpha, beta []float64
+}
+
+// pivotFloor replaces a zero pivot in the Sturm count, as LAPACK's dstebz
+// does, so the next quotient stays finite (the couplings are at most 1 in
+// magnitude, so β²/pivotFloor cannot overflow).
+const pivotFloor = 1e-290
+
+// countBelow returns how many eigenvalues of t are smaller than x: the
+// number of negative pivots of the LDLᵀ factorisation of t - x·I (Sylvester's
+// law of inertia; the Sturm sequence count).
+func (t *tridiag) countBelow(x float64) int {
+	count := 0
+	d := 1.0
+	for i, a := range t.alpha {
+		if i == 0 {
+			d = a - x
+		} else {
+			d = a - x - t.beta[i-1]*t.beta[i-1]/d
+		}
+		if math.Abs(d) < pivotFloor {
+			d = -pivotFloor
+		}
+		if d < 0 {
+			count++
 		}
 	}
-	return nil
+	return count
+}
+
+// eigenvalue returns the j-th smallest eigenvalue of t (0-based) by
+// bisection on the Sturm count, to full floating-point resolution. The
+// starting bracket is the Gershgorin interval.
+func (t *tridiag) eigenvalue(j int) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i, a := range t.alpha {
+		r := 0.0
+		if i > 0 {
+			r += math.Abs(t.beta[i-1])
+		}
+		if i < len(t.beta) {
+			r += math.Abs(t.beta[i])
+		}
+		lo, hi = math.Min(lo, a-r), math.Max(hi, a+r)
+	}
+	// Invariant: countBelow(lo) <= j < countBelow(hi), widened by a hair
+	// so the Gershgorin end points themselves satisfy it.
+	lo -= 1e-12 + math.Abs(lo)*1e-12
+	hi += 1e-12 + math.Abs(hi)*1e-12
+	for {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			return hi
+		}
+		if t.countBelow(mid) > j {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+}
+
+// lastComponent returns |s_k|, the magnitude of the last component of the
+// unit eigenvector of t for its eigenvalue theta. The eigenvector is run
+// by the three-term recurrence from the bottom row up, starting from
+// u_k = 1 and dropping the first row's equation. For a converged Ritz pair
+// the components grow going up, so this direction is the numerically
+// stable one; only the running sum of squares is kept, rescaled as it
+// grows.
+func (t *tridiag) lastComponent(theta float64) float64 {
+	k := len(t.alpha)
+	if k == 1 {
+		return 1
+	}
+	last := 1.0 // u_k under the current scaling
+	below, cur := 0.0, 1.0
+	sumSq := 1.0
+	for j := k - 1; j >= 1; j-- {
+		// Row j: β_{j-1}·u_{j-1} + α_j·u_j + β_j·u_{j+1} = θ·u_j.
+		up := (theta - t.alpha[j]) * cur
+		if j < k-1 {
+			up -= t.beta[j] * below
+		}
+		up /= t.beta[j-1]
+		below, cur = cur, up
+		sumSq += up * up
+		if math.Abs(up) > 1e150 {
+			const s = 1e-150
+			below, cur, last = below*s, cur*s, last*s
+			sumSq *= s * s
+		}
+	}
+	return math.Abs(last) / math.Sqrt(sumSq)
+}
+
+// top returns the largest eigenvalue of t and its |s_k|.
+func (t *tridiag) top() (theta, s float64) {
+	theta = t.eigenvalue(len(t.alpha) - 1)
+	return theta, t.lastComponent(theta)
+}
+
+// bottom returns the smallest eigenvalue of t and its |s_k|.
+func (t *tridiag) bottom() (theta, s float64) {
+	theta = t.eigenvalue(0)
+	return theta, t.lastComponent(theta)
 }
