@@ -1,10 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates undirected edges and produces a validated Graph.
@@ -72,21 +73,13 @@ func (b *Builder) Build(name string) (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
+	slices.SortFunc(b.edges, func(x, y edge) int {
+		if c := cmp.Compare(x.u, y.u); c != 0 {
+			return c
 		}
-		return b.edges[i].v < b.edges[j].v
+		return cmp.Compare(x.v, y.v)
 	})
-	// Deduplicate in place.
-	dedup := b.edges[:0]
-	for i, e := range b.edges {
-		if i > 0 && e == b.edges[i-1] {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
-	b.edges = dedup
+	b.edges = slices.Compact(b.edges)
 
 	degrees := make([]int64, b.n+1)
 	for _, e := range b.edges {
@@ -111,8 +104,7 @@ func (b *Builder) Build(name string) (*Graph, error) {
 	// sorted for the u-side but interleaved for the v-side; sort per vertex
 	// to restore the strict ordering invariant.
 	for v := int32(0); v < int32(b.n); v++ {
-		adj := g.neighbors[offsets[v]:offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(g.neighbors[offsets[v]:offsets[v+1]])
 	}
 	return g, nil
 }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"cobrawalk/internal/rng"
 )
@@ -17,7 +19,8 @@ import (
 //
 // n·r must be even and r must satisfy 0 <= r < n. Connectivity is not
 // guaranteed by the model (though it holds w.h.p. for r >= 3); callers that
-// need connectivity should use RandomRegularConnected.
+// need connectivity should use RandomRegularConnected. Sizes past int32
+// ids, 2·maxEdges arcs or physical memory fail before allocating anything.
 func RandomRegular(n, r int, rand *rng.Rand) (*Graph, error) {
 	if n <= 0 {
 		return nil, errEmptyGraph
@@ -25,55 +28,47 @@ func RandomRegular(n, r int, rand *rng.Rand) (*Graph, error) {
 	if r < 0 || r >= n {
 		return nil, fmt.Errorf("graph: degree %d out of range [0,%d)", r, n)
 	}
+	name := fmt.Sprintf("random-regular(n=%d,r=%d)", n, r)
+	if n > math.MaxInt32 || int64(n)*int64(r) > 2*maxEdges {
+		return nil, fmt.Errorf("graph: %s exceeds int32 vertex ids or %d arcs", name, int64(2*maxEdges))
+	}
+	// The pairing holds 8 bytes per arc (stub and slot) and 12 per vertex.
+	if need, mem := 8*uint64(n)*uint64(r)+12*uint64(n), totalMemory(); mem > 0 && need > mem {
+		return nil, fmt.Errorf("graph: %s needs %d bytes, more than the machine's %d", name, need, mem)
+	}
 	if n*r%2 != 0 {
 		return nil, fmt.Errorf("graph: n*r = %d*%d is odd; no regular graph exists", n, r)
 	}
-	if r == 0 {
-		return NewBuilder(n, 0).Build(fmt.Sprintf("random-regular(n=%d,r=0)", n))
-	}
 	const maxRestarts = 200
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		pairs, ok := pairStubs(n, r, rand)
-		if !ok {
-			continue
+		if nbr, ok := pairStubs(n, r, rand); ok {
+			offsets := make([]int64, n+1)
+			for v := range offsets {
+				offsets[v] = int64(v) * int64(r)
+			}
+			return &Graph{name: name, offsets: offsets, neighbors: nbr}, nil
 		}
-		b := NewBuilder(n, n*r/2)
-		for _, p := range pairs {
-			b.AddEdge(p[0], p[1])
-		}
-		g, err := b.Build(fmt.Sprintf("random-regular(n=%d,r=%d)", n, r))
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
 	}
 	return nil, fmt.Errorf("graph: random regular generation failed after %d restarts (n=%d, r=%d)", maxRestarts, n, r)
 }
 
-// pairStubs runs one attempt of the Steger–Wormald pairing. It returns the
-// matched edge list, or ok=false if the attempt got stuck and the caller
-// should restart.
-func pairStubs(n, r int, rand *rng.Rand) ([][2]int32, bool) {
+// pairStubs runs one Steger–Wormald attempt straight into CSR rows: v's row
+// is nbr[v*r:(v+1)*r], its first fill[v] slots filled so far. It returns the
+// rows sorted, or ok=false if the attempt got stuck and must restart.
+func pairStubs(n, r int, rand *rng.Rand) ([]int32, bool) {
 	total := n * r
 	stubs := make([]int32, total)
 	for i := range stubs {
 		stubs[i] = int32(i / r)
 	}
-	// adj[v] lists current neighbours of v (small: at most r entries).
-	adj := make([][]int32, n)
+	nbr := make([]int32, total)
+	fill := make([]int32, n)
 	adjacent := func(u, v int32) bool {
-		a := adj[u]
-		if len(adj[v]) < len(a) {
-			a, v = adj[v], u
+		if fill[v] < fill[u] {
+			u, v = v, u
 		}
-		for _, w := range a {
-			if w == v {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(nbr[int(u)*r:int(u)*r+int(fill[u])], v)
 	}
-	pairs := make([][2]int32, 0, total/2)
 	live := total // stubs[0:live] are unused
 	failures := 0
 	for live > 0 {
@@ -93,9 +88,10 @@ func pairStubs(n, r int, rand *rng.Rand) ([][2]int32, bool) {
 			continue
 		}
 		failures = 0
-		pairs = append(pairs, [2]int32{u, v})
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+		nbr[int(u)*r+int(fill[u])] = v
+		fill[u]++
+		nbr[int(v)*r+int(fill[v])] = u
+		fill[v]++
 		// Remove the two stubs (order matters: remove the larger index
 		// first so the swap does not disturb the other position).
 		if i < j {
@@ -106,7 +102,10 @@ func pairStubs(n, r int, rand *rng.Rand) ([][2]int32, bool) {
 		stubs[j] = stubs[live-1]
 		live--
 	}
-	return pairs, true
+	for lo := 0; lo < total; lo += r {
+		slices.Sort(nbr[lo : lo+r])
+	}
+	return nbr, true
 }
 
 func anySuitablePair(live []int32, adjacent func(u, v int32) bool) bool {

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -116,7 +116,7 @@ func ParallelFromEdges(name string, n int, pairs [][2]int32, workers int) (*Grap
 			defer wg.Done()
 			for v := lo; v < hi; v++ {
 				adj := neighbors[offsets[v]:offsets[v+1]]
-				sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+				slices.Sort(adj)
 				for i := 1; i < len(adj); i++ {
 					if adj[i-1] == adj[i] {
 						errs[w] = fmt.Errorf("%w: {%d,%d}", ErrDuplicateEdge, v, adj[i])
