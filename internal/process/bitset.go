@@ -29,6 +29,11 @@ func (b bitset) test(v int32) bool {
 	return b[uint32(v)>>6]&(1<<(uint32(v)&63)) != 0
 }
 
+// bit returns bit v as 0 or 1.
+func (b bitset) bit(v int32) uint64 {
+	return b[uint32(v)>>6] >> (uint32(v) & 63) & 1
+}
+
 // testAndSet sets bit v and reports whether it was previously clear.
 func (b bitset) testAndSet(v int32) bool {
 	w := uint32(v) >> 6

@@ -26,12 +26,19 @@ import (
 //     membership reads do not exist in cobra's sampling.
 //  3. Merge (sequential): chunks are folded in chunk order with exactly
 //     cobraProc's branchless frontier/visited arithmetic, building
-//     C_{t+1} and the reached count.
+//     C_{t+1} and the reached count. A dense C_{t+1} (at least as many
+//     members as the frontier bitset has words — clearMembers' rule) is
+//     then rebuilt in ascending vertex order from the frontier bits, so
+//     the next round's sampling streams the CSR rows front to back
+//     rather than gathering them in random discovery order; a sparse one
+//     keeps discovery order, and slow-mixing graphs pay O(|C_t|) per
+//     round as before.
 //
-// Chunk boundaries depend only on |C_t| and the per-chunk streams only
-// on (roundSeed, c), so phases 2–3 produce byte-identical state for
-// every worker count; difftest.LockstepWorkers pins this. The engine is
-// NOT stream-compatible with cobraProc (which spends the trial stream
+// Chunk boundaries depend only on |C_t|, the frontier order only on the
+// dense test, and the per-chunk streams only on (roundSeed, c), so
+// phases 2–3 produce byte-identical state for every worker count;
+// difftest.LockstepWorkers pins this. The engine is NOT
+// stream-compatible with cobraProc (which spends the trial stream
 // per push, not per round) — the sequential engine stays the reference,
 // cobra-par is a registered variant.
 //
@@ -73,6 +80,10 @@ type cobraParProc struct {
 	round   int
 	reached int
 	sent    int64
+
+	// Rounds since Reset whose C_{t+1} kept discovery order (sparse)
+	// or was rebuilt ascending (dense); see RoundModes.
+	sparse, dense int
 }
 
 func newCobraParProc(g *graph.Graph, cfg Config) (Process, error) {
@@ -130,6 +141,7 @@ func (p *cobraParProc) Reset(starts ...int32) error {
 	p.round = 0
 	p.reached = 0
 	p.sent = 0
+	p.sparse, p.dense = 0, 0
 	for _, s := range starts {
 		if p.visited.testAndSet(s) {
 			p.reached++
@@ -228,7 +240,18 @@ func (p *cobraParProc) Step(r *rng.Rand) {
 		}
 	}
 	p.reached = reached
-	p.frontier.clearMembers(next[:j])
+	if j >= len(frontier) {
+		// Dense C_{t+1}: rebuild it in ascending order (see the type
+		// comment); the whole-set clear is clearMembers' dense case.
+		appendBits(next[:0], frontier, p.n)
+		clear(frontier)
+		p.dense++
+	} else {
+		for _, v := range next[:j] {
+			frontier.clearBit(v)
+		}
+		p.sparse++
+	}
 	p.curBuf, p.nextBuf = next, p.curBuf
 	p.curLen = j
 	p.round++
@@ -242,6 +265,11 @@ func (p *cobraParProc) Done() bool           { return p.reached == p.n }
 func (p *cobraParProc) Round() int           { return p.round }
 func (p *cobraParProc) ReachedCount() int    { return p.reached }
 func (p *cobraParProc) Transmissions() int64 { return p.sent }
+
+// RoundModes reports how many rounds since Reset left C_{t+1} in
+// discovery order (sparse) and how many rebuilt it in ascending vertex
+// order (dense). Tests use it to prove a run crossed both paths.
+func (p *cobraParProc) RoundModes() (sparse, dense int) { return p.sparse, p.dense }
 
 // AppendReached appends the visited set in ascending vertex order.
 func (p *cobraParProc) AppendReached(dst []int32) []int32 {

@@ -8,17 +8,31 @@ import (
 )
 
 // kernelChunk is the chunk grain of the parallel round kernels: the
-// number of frontier entries (cobra-par) or candidates (bips-par) one
-// work chunk covers. The grain is part of the determinism contract —
-// chunk boundaries, and therefore the per-chunk RNG streams, depend
-// only on the data (frontier length), never on the worker count — so
-// changing it changes results the same way changing a seed would.
+// number of frontier entries (cobra-par), candidates (bips-par push
+// rounds) or vertices (bips-par pull rounds) one work chunk covers. The
+// grain is part of the determinism contract — chunk boundaries, and
+// therefore the per-chunk RNG streams, depend only on the data, never
+// on the worker count — so changing it changes results the same way
+// changing a seed would.
 //
 // 2048 entries × K pushes ≈ 4k random CSR gathers per chunk: coarse
 // enough that chunk-claim traffic (one atomic add) and the per-chunk
 // reseed are noise, fine enough that a 10^5-vertex frontier splits into
 // ~50 chunks for dynamic load balancing across 8 workers.
 const kernelChunk = 2048
+
+// pullShare fixes bips-par's direction rule: a round runs in pull form
+// once A_t's arcs reach n/pullShare, i.e. |A_t|·d̄·pullShare ≥ n with d̄
+// the average degree (|A_t|·r·pullShare ≥ n on an r-regular graph). A
+// pull round streams all n rows once; a push round gathers A_t's rows
+// and then its candidates' rows at random, so the push cost per arc is
+// several times the pull cost per arc. Like kernelChunk the rule is part
+// of the determinism contract — it reads only |A_t| and the graph — and
+// changing it changes results the way changing a seed would. On a
+// 2-vCPU runner at n = 2^21, r = 8, one worker, shares of 1, 2 and 4
+// were within run-to-run noise of each other (0.7–1.0 s per bips-par
+// trial) and 8 and 16 were slower.
+const pullShare = 4
 
 // chunksFor returns the number of kernelChunk-sized chunks covering
 // items entries.

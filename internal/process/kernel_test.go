@@ -14,7 +14,8 @@ import (
 // allocation contract: after construction and one warm-up run, whole
 // trials (Reset + Steps) on a multi-worker kernel perform zero
 // allocations — the pool dispatch, the per-chunk reseeds and the
-// staging writes all reuse construction-time buffers.
+// staging writes all reuse construction-time buffers, on sparse and
+// dense rounds alike (the graph spans two chunks, and both forms run).
 func TestKernelStepZeroAlloc(t *testing.T) {
 	g := expander(t, 1<<12, 8)
 	for _, name := range []string{CobraPar, BIPSPar} {
@@ -36,6 +37,12 @@ func TestKernelStepZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("%s steady-state trial allocates %.1f times, want 0", name, allocs)
+			}
+			// The measured trials must have crossed both round forms,
+			// or the dense path's allocation behaviour went unmeasured.
+			sparse, dense := p.(interface{ RoundModes() (int, int) }).RoundModes()
+			if sparse == 0 || dense == 0 {
+				t.Fatalf("%s trial took %d sparse and %d dense rounds, want both", name, sparse, dense)
 			}
 		})
 	}

@@ -31,7 +31,11 @@ const (
 	// v2: points carry graph_seed (graphs keyed on topology, not point).
 	// v3: pluggable metrics — specs carry a metric set, records hold
 	// per-metric summaries plus optional trajectory blocks.
-	manifestVersion = 3
+	// v4: cobra-par/bips-par records changed — dense rounds walk the
+	// CSR in ascending vertex order (bips-par pull rounds over vertex
+	// ranges, cobra-par ascending dense frontiers), so their chunk
+	// streams, and with them the sampled trials, differ from v3's.
+	manifestVersion = 4
 )
 
 // Hash returns a short stable fingerprint of the normalised spec plus
